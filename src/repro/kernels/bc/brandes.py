@@ -66,9 +66,11 @@ def _single_source_dependencies(graph: Graph, s: int):
         for v in frontier:
             nbrs = graph.neighbors(v)
             work += len(nbrs)
-            fresh = nbrs[dist[nbrs] == -1]  # all of these land on the next level
+            # all of these land on the next level; CSR neighbour lists hold
+            # unique indices, so a fancy-index += adds exactly once each
+            fresh = nbrs[dist[nbrs] == -1]
             if len(fresh):
-                np.add.at(sigma, fresh, sigma[v])
+                sigma[fresh] += sigma[v]
                 neigh_all.append(fresh)
         if neigh_all:
             nxt = np.unique(np.concatenate(neigh_all))
@@ -86,6 +88,6 @@ def _single_source_dependencies(graph: Graph, s: int):
             preds = nbrs[dist[nbrs] == dist[w] - 1]
             if len(preds):
                 share = (sigma[preds] / sigma[w]) * (1.0 + delta[w])
-                np.add.at(delta, preds, share)
+                delta[preds] += share  # preds are unique, as above
     delta[s] = 0.0
     return delta, work

@@ -84,7 +84,7 @@ def _to_csr(n: int, src: np.ndarray, dst: np.ndarray) -> Graph:
     order = np.argsort(heads, kind="stable")
     heads, tails = heads[order], tails[order]
     indptr = np.zeros(n + 1, dtype=np.int64)
-    np.add.at(indptr, heads + 1, 1)
+    indptr[1:] = np.bincount(heads, minlength=n)
     np.cumsum(indptr, out=indptr)
     return Graph(n=n, indptr=indptr, indices=tails.astype(np.int64))
 

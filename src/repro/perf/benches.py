@@ -2,16 +2,18 @@
 
 Two suites, mirroring the two layers the fast-path work targets:
 
-* ``sim`` (-> ``BENCH_sim.json``): microbenchmarks of the classic engine's
-  event loop (heap timers, batched zero-delay dispatch, cancel-churn
+* ``sim`` (-> ``BENCH_sim.json``): microbenchmarks of the default event
+  core's ``Clock`` surface (heap timers, zero-delay dispatch, cancel-churn
   compaction), the slotted core's fast paths (freelist churn, batched
   payload-call dispatch, interned-handle timers), the transport's send/ack
   round-trip path, and FINISH_DENSE's coalescing windows.  These localize a
   regression to a subsystem.
-* ``kernels`` (-> ``BENCH_kernels.json``): whole-stack macro runs of UTS
-  through :func:`repro.harness.simulate` — the number that actually bounds
-  how large a sweep the repo can afford.  ``uts@1024`` is the headline
-  (the Figure-1 scale) and is skipped in quick mode.
+* ``kernels`` (-> ``BENCH_kernels.json``): whole-stack macro runs through
+  :func:`repro.harness.simulate` — the numbers that actually bound how large
+  a sweep the repo can afford.  ``uts@*`` is message-bound (GLB steal
+  traffic); ``kmeans@256`` is compute-bound (kernel math plus Team
+  collectives).  ``uts@1024`` is the headline (the Figure-1 scale) and is
+  skipped in quick mode.
 
 Each bench is deterministic: fixed seeds, fixed scales encoded in the name,
 no wall-clock-dependent control flow — only the *timing* varies run to run.
@@ -30,13 +32,15 @@ def _noop() -> None:
 
 
 # -- engine microbenchmarks ----------------------------------------------------
+# These time the default core (what ordinary runs use) through the ``Clock``
+# surface every event core shares.
 
 
 def _bench_engine_timers(n: int = 200_000) -> float:
     """Heap-path throughput: ``n`` fire-and-forget timers at scattered delays."""
-    from repro.sim.engine import Engine
+    from repro.sim import make_engine
 
-    eng = Engine()
+    eng = make_engine()
     schedule = eng.schedule_fire
     for i in range(n):
         # Knuth-hash the index into a delay so pushes interleave with pops
@@ -47,9 +51,9 @@ def _bench_engine_timers(n: int = 200_000) -> float:
 
 def _bench_engine_ready(n: int = 200_000) -> float:
     """Zero-delay dispatch throughput: a self-reposting ``call_soon`` chain."""
-    from repro.sim.engine import Engine
+    from repro.sim import make_engine
 
-    eng = Engine()
+    eng = make_engine()
     remaining = n
 
     def tick() -> None:
@@ -70,9 +74,9 @@ def _bench_engine_cancel_churn(waves: int = 100, batch: int = 1000) -> float:
     the shape chaos-mode retries produce.  Throughput collapses if lazy
     deletion lets the heap fill with corpses.
     """
-    from repro.sim.engine import Engine
+    from repro.sim import make_engine
 
-    eng = Engine()
+    eng = make_engine()
 
     def wave(i: int) -> None:
         handles = [eng.schedule((j % 97 + 1) * 1e-6, _noop) for j in range(batch)]
@@ -153,10 +157,10 @@ def _bench_transport_roundtrip(rounds: int = 4000) -> float:
     """Ping-pong over the PAMI transport: one active message each way per round."""
     from repro.machine.config import MachineConfig
     from repro.machine.topology import Topology
-    from repro.sim.engine import Engine
+    from repro.sim import make_engine
     from repro.xrt.pami import PamiTransport
 
-    eng = Engine()
+    eng = make_engine()
     cfg = MachineConfig.small()
     tp = PamiTransport(eng, cfg, Topology(cfg, 2))
     remaining = rounds
@@ -214,6 +218,18 @@ def _bench_uts(places: int) -> Callable[[], float]:
 
         result = simulate("uts", places)
         return float(result.extra["nodes"])
+
+    return run
+
+
+def _bench_kmeans(places: int, points: int) -> Callable[[], float]:
+    """Work units: points classified (``points`` per place per iteration)."""
+
+    def run() -> float:
+        from repro.harness.runner import simulate
+
+        result = simulate("kmeans", places, actual_points=points)
+        return float(places * points * result.extra["iterations"])
 
     return run
 
@@ -306,6 +322,13 @@ BENCHES: list[Bench] = [
         fn=_bench_uts(1024),
         quick=False,  # the Figure-1-scale run: minutes of wall clock with repeats
         params={"places": 1024, "depth": 9},
+    ),
+    Bench(
+        name="kmeans@256",
+        suite="kernels",
+        unit="points/s",
+        fn=_bench_kmeans(256, 4096),
+        params={"places": 256, "points": 4096, "k": 64, "dim": 12, "iterations": 5},
     ),
 ]
 

@@ -103,6 +103,54 @@ def test_partial_sources_sum_to_full_result():
     np.testing.assert_allclose((part_a + part_b) / 2.0, full, atol=1e-9)
 
 
+def _brandes_add_at_oracle(g):
+    """Full-source Brandes in the original ``np.add.at`` formulation."""
+    centrality = np.zeros(g.n)
+    for s in range(g.n):
+        dist = np.full(g.n, -1, dtype=np.int64)
+        sigma, delta = np.zeros(g.n), np.zeros(g.n)
+        dist[s], sigma[s] = 0, 1.0
+        frontier, levels = np.array([s], dtype=np.int64), []
+        while len(frontier):
+            levels.append(frontier)
+            found = []
+            for v in frontier:
+                nbrs = g.neighbors(v)
+                fresh = nbrs[dist[nbrs] == -1]
+                np.add.at(sigma, fresh, sigma[v])
+                found.append(fresh)
+            nxt = np.unique(np.concatenate(found))
+            dist[nxt] = dist[frontier[0]] + 1
+            frontier = nxt
+        for level in reversed(levels[1:]):
+            for w in level:
+                nbrs = g.neighbors(w)
+                preds = nbrs[dist[nbrs] == dist[w] - 1]
+                np.add.at(delta, preds, (sigma[preds] / sigma[w]) * (1.0 + delta[w]))
+        delta[s] = 0.0
+        centrality += delta
+    return centrality / 2.0
+
+
+def test_brandes_is_bit_identical_to_add_at_formulation():
+    g = rmat_graph(scale=7, edge_factor=8, seed=11)
+    assert brandes_betweenness(g).tobytes() == _brandes_add_at_oracle(g).tobytes()
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_csr_row_pointers_count_deduplicated_neighbours(seed):
+    n = 64
+    edges = np.random.default_rng(seed).integers(0, n, size=(300, 2))
+    g = graph_from_edges(n, edges)
+    pairs = {(min(a, b), max(a, b)) for a, b in edges.tolist() if a != b}
+    degree = np.zeros(n, dtype=np.int64)
+    for a, b in pairs:
+        degree[a] += 1
+        degree[b] += 1
+    assert g.indptr.dtype == np.int64
+    assert g.indptr.tolist() == [0] + np.cumsum(degree).tolist()
+
+
 @given(st.integers(0, 1000))
 @settings(max_examples=10, deadline=None)
 def test_brandes_matches_networkx_random_graphs(seed):
