@@ -144,11 +144,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     perf = sub.add_parser(
         "perf",
-        help="wall-clock benchmarks of the simulator itself (BENCH_sim/BENCH_kernels)",
+        help="wall-clock benchmarks (BENCH_sim/BENCH_kernels/BENCH_procs)",
     )
     perf.add_argument(
         "--suite",
-        choices=("sim", "kernels", "all"),
+        choices=("sim", "kernels", "procs", "all"),
         default="all",
         help="which suite to run (default: all)",
     )
@@ -648,6 +648,7 @@ def _cmd_perf(args, out) -> int:
 
     from repro.perf import (
         DEFAULT_TOLERANCE,
+        SUITES,
         compare_to_baseline,
         load_results,
         render_results,
@@ -662,7 +663,7 @@ def _cmd_perf(args, out) -> int:
         print(f"error: --repeats must be >= 1, got {args.repeats}", file=out)
         return 2
 
-    suites = ("sim", "kernels") if args.suite == "all" else (args.suite,)
+    suites = SUITES if args.suite == "all" else (args.suite,)
 
     # load baselines up front so --check with out-dir == baseline-dir compares
     # against the committed content, not the file this run is about to write

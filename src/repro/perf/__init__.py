@@ -6,11 +6,12 @@ transport round-trips, and UTS nodes per wall-clock second the pure-Python
 stack sustains.  That number is the ceiling on how many simulated places the
 test suite and Figure-1 sweeps can afford, so it is tracked like any other
 regression surface: ``repro perf`` emits ``BENCH_sim.json`` (engine /
-transport / finish microbenchmarks) and ``BENCH_kernels.json`` (macro kernel
-runs), and CI fails when a committed baseline degrades past tolerance.
+transport / finish microbenchmarks), ``BENCH_kernels.json`` (macro kernel
+runs) and ``BENCH_procs.json`` (round trips over the real-process wire), and
+CI fails when a committed baseline degrades past tolerance.
 """
 
-from repro.perf.benches import BENCHES, run_suite
+from repro.perf.benches import BENCHES, SUITES, run_suite
 from repro.perf.harness import (
     DEFAULT_TOLERANCE,
     Baseline,
@@ -25,6 +26,7 @@ from repro.perf.harness import (
 __all__ = [
     "BENCHES",
     "DEFAULT_TOLERANCE",
+    "SUITES",
     "Baseline",
     "BenchResult",
     "compare_to_baseline",

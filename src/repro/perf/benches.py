@@ -1,6 +1,6 @@
 """The benchmark catalog: what ``repro perf`` actually times.
 
-Two suites, mirroring the two layers the fast-path work targets:
+Three suites, one per layer the fast-path work targets:
 
 * ``sim`` (-> ``BENCH_sim.json``): microbenchmarks of the default event
   core's ``Clock`` surface (heap timers, zero-delay dispatch, cancel-churn
@@ -14,6 +14,11 @@ Two suites, mirroring the two layers the fast-path work targets:
   traffic); ``kmeans@256`` is compute-bound (kernel math plus Team
   collectives).  ``uts@1024`` is the headline (the Figure-1 scale) and is
   skipped in quick mode.
+* ``procs`` (-> ``BENCH_procs.json``): the real-process wire — mailbox
+  round trips between two place processes, directly with place 0
+  (``procs.pingpong@2``) and between two children through place 0's star
+  router (``procs.router_hop@3``).  These time encode, socket write, poll,
+  decode and loop dispatch on the real sockets.
 
 Each bench is deterministic: fixed seeds, fixed scales encoded in the name,
 no wall-clock-dependent control flow — only the *timing* varies run to run.
@@ -21,8 +26,9 @@ no wall-clock-dependent control flow — only the *timing* varies run to run.
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Callable, Optional, Union
 
 from repro.perf.harness import BenchResult, measure
 
@@ -234,6 +240,50 @@ def _bench_kmeans(places: int, points: int) -> Callable[[], float]:
     return run
 
 
+# -- procs (real processes) microbenchmarks -------------------------------------
+# Each run forks its places afresh; the initiating place times only the round
+# trips, so fork and reap stay out of the rate (``measure`` takes the
+# ``(ops, seconds)`` a self-timed bench returns).
+
+
+def _pingpong_echo(ctx, peer: int, rounds: int):
+    """Answer each of ``rounds`` pings from ``peer`` with a pong."""
+    for _ in range(rounds):
+        item = yield ctx.recv("perf:ping")
+        ctx.send(peer, "perf:pong", item)
+
+
+def _pingpong_serve(ctx, peer: int, rounds: int):
+    """``rounds`` mailbox round trips with ``peer``; reports their wall time."""
+    start = time.perf_counter()
+    for i in range(rounds):
+        ctx.send(peer, "perf:ping", i)
+        yield ctx.recv("perf:pong")
+    ctx.send(0, "perf:elapsed", time.perf_counter() - start)
+
+
+def _bench_procs_pingpong(places: int, a: int, b: int, rounds: int = 2000):
+    """Mailbox round trips between places ``a`` and ``b`` over real sockets.
+
+    With ``a`` and ``b`` both children, every frame crosses place 0's star
+    router: two router hops per round trip.
+    """
+
+    def main(ctx):
+        with ctx.finish() as f:
+            ctx.at_async(b, _pingpong_echo, a, rounds)
+            ctx.at_async(a, _pingpong_serve, b, rounds)
+        yield f.wait()
+        return (yield ctx.recv("perf:elapsed"))
+
+    def run() -> tuple:
+        from repro.xrt.procs import run_procs_program
+
+        return float(rounds), run_procs_program(main, places).result
+
+    return run
+
+
 # -- catalog -------------------------------------------------------------------
 
 
@@ -242,14 +292,14 @@ class Bench:
     """A named, fixed-scale benchmark belonging to one suite."""
 
     name: str
-    suite: str  #: ``"sim"`` or ``"kernels"``
+    suite: str  #: one of :data:`SUITES`
     unit: str
-    fn: Callable[[], float]
+    fn: Callable[[], Union[float, tuple]]
     quick: bool = True  #: False: skipped under ``--quick`` (full runs only)
     params: dict = field(default_factory=dict)
 
 
-SUITES = ("sim", "kernels")
+SUITES = ("sim", "kernels", "procs")
 
 BENCHES: list[Bench] = [
     Bench(
@@ -329,6 +379,20 @@ BENCHES: list[Bench] = [
         unit="points/s",
         fn=_bench_kmeans(256, 4096),
         params={"places": 256, "points": 4096, "k": 64, "dim": 12, "iterations": 5},
+    ),
+    Bench(
+        name="procs.pingpong@2",
+        suite="procs",
+        unit="roundtrips/s",
+        fn=_bench_procs_pingpong(2, 0, 1),
+        params={"places": 2, "between": [0, 1], "rounds": 2000},
+    ),
+    Bench(
+        name="procs.router_hop@3",
+        suite="procs",
+        unit="roundtrips/s",
+        fn=_bench_procs_pingpong(3, 1, 2),
+        params={"places": 3, "between": [1, 2], "rounds": 2000},
     ),
 ]
 

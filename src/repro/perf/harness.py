@@ -27,7 +27,7 @@ from __future__ import annotations
 import json
 import time
 from dataclasses import asdict, dataclass, field
-from typing import Callable, Optional
+from typing import Callable, Optional, Union
 
 SCHEMA_VERSION = 2
 
@@ -69,7 +69,7 @@ class Regression:
 
 
 def measure(
-    fn: Callable[[], float],
+    fn: Callable[[], Union[float, tuple[float, float]]],
     repeats: int = 3,
     warmup: bool = True,
 ) -> tuple[float, float, list[float]]:
@@ -77,7 +77,10 @@ def measure(
 
     ``fn`` does one full unit of benchmark work and returns how many work
     units that was.  The warmup run is untimed — it pays import, allocation,
-    and branch-training costs that steady-state runs do not see.
+    and branch-training costs that steady-state runs do not see.  A bench
+    whose set-up cannot be split from its work (forking place processes)
+    times itself and returns ``(ops, seconds)``; that time replaces the
+    stopwatch's.
     """
     if repeats < 1:
         raise ValueError(f"repeats must be >= 1, got {repeats!r}")
@@ -87,8 +90,12 @@ def measure(
     runs: list[float] = []
     for _ in range(repeats):
         start = time.perf_counter()
-        ops = float(fn())
-        runs.append(time.perf_counter() - start)
+        out = fn()
+        elapsed = time.perf_counter() - start
+        if isinstance(out, tuple):
+            out, elapsed = out
+        ops = float(out)
+        runs.append(elapsed)
     return ops, min(runs), runs
 
 

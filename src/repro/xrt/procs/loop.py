@@ -6,7 +6,8 @@ as the discrete-event :class:`~repro.sim.engine.Engine` — ``now``,
 registry — so :class:`~repro.sim.process.Process`,
 :class:`~repro.sim.store.Store`, and :class:`~repro.sim.events.SimEvent` run
 on it unmodified.  On top of that it pumps this place's socket(s): readable
-frames are dispatched to registered handlers, writable buffers are drained.
+frames are dispatched to registered handlers, and a connection whose send
+left a tail buffered is drained once its socket turns writable.
 
 The loop interleaves callback batches with socket polls so a program that
 spins on cooperative yields (``yield None`` / zero timeouts) cannot starve
@@ -30,6 +31,8 @@ _BATCH = 128
 
 #: longest sleep when fully idle; bounds deadline-check latency
 _IDLE_WAIT = 0.05
+
+_READ_WRITE = selectors.EVENT_READ | selectors.EVENT_WRITE
 
 
 class _TimerHandle:
@@ -117,6 +120,7 @@ class PlaceLoop:
     def add_conn(self, conn: Conn) -> None:
         self._conns.append(conn)
         self._selector.register(conn.sock, selectors.EVENT_READ, conn)
+        conn.events = selectors.EVENT_READ
 
     def drop_conn(self, conn: Conn) -> None:
         """Retire a connection mid-run (peer declared dead by the router).
@@ -157,14 +161,15 @@ class PlaceLoop:
         return self._stopped
 
     def _poll(self, timeout: float) -> None:
-        # re-arm write interest to match each connection's buffer state
+        # write interest only while a tail is buffered; one epoll_ctl per
+        # change of a connection's wanted mask, none while it holds steady
         for conn in self._conns:
             if conn.eof:
                 continue
-            events = selectors.EVENT_READ
-            if conn.wants_write:
-                events |= selectors.EVENT_WRITE
-            self._selector.modify(conn.sock, events, conn)
+            events = _READ_WRITE if conn.wants_write else selectors.EVENT_READ
+            if events != conn.events:
+                self._selector.modify(conn.sock, events, conn)
+                conn.events = events
         for key, mask in self._selector.select(timeout):
             conn: Conn = key.data
             if mask & selectors.EVENT_WRITE:

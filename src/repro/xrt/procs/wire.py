@@ -53,18 +53,25 @@ DEAD = "dead"
 
 Frame = Tuple[str, int, int, Any]
 
+#: bytes asked of one ``recv``; a shorter read means the socket is drained
+_RECV_BYTES = 65536
+
 
 class Conn:
     """One framed connection, non-blocking in both directions.
 
     Reads go through a :class:`FrameDecoder` so partial frames are handled in
-    exactly one place; writes append to an outbound buffer that the owning
-    loop drains whenever the socket is writable.  Neither side can deadlock
-    the pair: a frame is never written with a blocking call.
+    exactly one place.  Writes go straight to the socket in the call that
+    sends the frame; only a tail the kernel would not take is buffered, and
+    the owning loop drains it when the socket turns writable.  A frame is
+    never written with a blocking call, so neither side can deadlock the
+    pair, and a new frame never overtakes a buffered tail (per-connection
+    FIFO).
     """
 
     __slots__ = (
         "sock", "peer", "decoder", "_out", "bytes_sent", "frames_sent", "dropped", "eof",
+        "events",
     )
 
     def __init__(self, sock: socket.socket, peer: int) -> None:
@@ -80,6 +87,9 @@ class Conn:
         #: frame is either sent or counted here (``procs.wire.dropped``)
         self.dropped = 0
         self.eof = False
+        #: the selector event mask the owning loop registered (0: none), so
+        #: the loop re-arms only when the wanted mask changes
+        self.events = 0
 
     def fileno(self) -> int:
         return self.sock.fileno()
@@ -87,21 +97,32 @@ class Conn:
     # -- sending ---------------------------------------------------------------
 
     def send_frame(self, frame: Frame) -> None:
-        """Queue one frame; actual bytes move when the socket is writable."""
+        """Send one frame now; buffer whatever the socket did not take."""
         if self.eof:
             self.dropped += 1
             return
         data = encode_frame(frame)
-        self._out.extend(data)
         self.frames_sent += 1
         self.bytes_sent += len(data)
+        if self._out:
+            # behind a buffered tail: queue, so frames leave in order
+            self._out.extend(data)
+            return
+        try:
+            sent = self.sock.send(data)
+        except OSError:
+            # would-block, or the peer is gone: buffer the whole frame and
+            # let pump_write meet the error, which retires the connection
+            sent = 0
+        if sent < len(data):
+            self._out.extend(data[sent:])
 
     @property
     def wants_write(self) -> bool:
         return bool(self._out)
 
     def pump_write(self) -> None:
-        """Push buffered bytes out; stops at the first would-block."""
+        """Push the buffered tail out; stops at the first would-block."""
         while self._out:
             try:
                 sent = self.sock.send(self._out)
@@ -137,11 +158,17 @@ class Conn:
     # -- receiving -------------------------------------------------------------
 
     def pump_read(self) -> List[Frame]:
-        """Read whatever is available; return the frames completed by it."""
+        """Read what is available; return the frames completed by it.
+
+        A short read ends the call: the loop's selector is level-triggered,
+        so anything that arrives later shows up on the next poll.  Once the
+        write side has hit EOF, it reads on to the peer's EOF instead, so
+        frames the dead peer managed to send still land.
+        """
         frames: List[Frame] = []
         while True:
             try:
-                chunk = self.sock.recv(65536)
+                chunk = self.sock.recv(_RECV_BYTES)
             except (BlockingIOError, InterruptedError):
                 return frames
             except (ConnectionResetError, OSError):
@@ -151,6 +178,8 @@ class Conn:
                 self.eof = True
                 return frames
             frames.extend(self.decoder.feed(chunk))
+            if len(chunk) < _RECV_BYTES and not self.eof:
+                return frames
 
     def close(self) -> None:
         try:

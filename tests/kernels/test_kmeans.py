@@ -96,6 +96,45 @@ def test_empty_cluster_keeps_centroid():
     np.testing.assert_allclose(out[1], [5.0, 5.0])  # unchanged
 
 
+def _masked_update(centroids, sums, counts):
+    """The masked-assignment formulation, kept as the byte-equality oracle."""
+    out = centroids.copy()
+    mask = counts > 0
+    out[mask] = sums[mask] / counts[mask, None]
+    return out
+
+
+def _update_cases():
+    for seed in range(3):
+        for n, k, dim in ((256, 8, 4), (4096, 64, 12), (5, 1, 3), (3, 9, 2)):
+            rng = np.random.default_rng(seed)
+            points = rng.uniform(0.0, 1.0, size=(n, dim))
+            centroids = rng.uniform(0.0, 1.0, size=(k, dim))
+            sums, counts = assign_and_accumulate(points, centroids)
+            yield f"seed{seed}-{n}x{k}x{dim}", centroids, sums, counts
+    # hand-made empty clusters, and every cluster empty
+    centroids = np.arange(12.0).reshape(4, 3) / 7.0
+    sums = np.arange(12.0).reshape(4, 3) / 3.0
+    yield "some-empty", centroids, sums, np.array([3.0, 0.0, 7.0, 0.0])
+    yield "all-empty", centroids, np.zeros((4, 3)), np.zeros(4)
+    yield "k1-empty", centroids[:1], np.zeros((1, 3)), np.zeros(1)
+
+
+def test_update_centroids_is_byte_equal_to_the_masked_form():
+    """Same IEEE division per non-empty row, same untouched empty rows: the
+    bytes must match the masked formulation exactly, inputs unmodified."""
+    cases = list(_update_cases())
+    assert any((counts == 0).any() for _, _, _, counts in cases[:12])  # seeded empties
+    for name, centroids, sums, counts in cases:
+        before = (centroids.tobytes(), sums.tobytes(), counts.tobytes())
+        out = update_centroids(centroids, sums, counts)
+        expected = _masked_update(centroids, sums, counts)
+        assert out.dtype == expected.dtype and out.shape == expected.shape, name
+        assert out.tobytes() == expected.tobytes(), name
+        assert (centroids.tobytes(), sums.tobytes(), counts.tobytes()) == before, name
+        assert out is not centroids
+
+
 def test_reference_converges_on_separated_clusters():
     rng = np.random.default_rng(0)
     blob_a = rng.normal(0.0, 0.05, size=(100, 2))

@@ -34,6 +34,28 @@ def test_measure_reports_min_and_all_runs():
     assert best_s >= 0
 
 
+def test_measure_uses_the_time_a_self_timed_bench_reports():
+    """``(ops, seconds)`` from the bench replaces the outer stopwatch, so set-up
+    the bench cannot split off (forking place processes) stays out of the rate."""
+    import time
+
+    def fn():
+        time.sleep(0.02)  # set-up the bench excludes from its own timing
+        return 7, 0.001
+
+    ops, best_s, runs_s = measure(fn, repeats=2)
+    assert ops == 7.0
+    assert runs_s == [0.001, 0.001] and best_s == 0.001
+
+
+@pytest.mark.procs
+@pytest.mark.parametrize("places,a,b", [(2, 0, 1), (3, 1, 2)])
+def test_procs_pingpong_bench_times_its_round_trips(places, a, b):
+    ops, seconds = benches._bench_procs_pingpong(places, a, b, rounds=20)()
+    assert ops == 20.0
+    assert 0.0 < seconds < 10.0
+
+
 def test_measure_rejects_zero_repeats():
     with pytest.raises(ValueError):
         measure(lambda: 1, repeats=0)

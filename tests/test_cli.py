@@ -288,6 +288,7 @@ def _tiny_benches(monkeypatch):
     catalog = [
         benches.Bench(name="tiny.sim@1", suite="sim", unit="ops/s", fn=work),
         benches.Bench(name="tiny.kern@1", suite="kernels", unit="ops/s", fn=work),
+        benches.Bench(name="tiny.procs@1", suite="procs", unit="ops/s", fn=work),
     ]
     monkeypatch.setattr(benches, "BENCHES", catalog)
 
@@ -298,7 +299,16 @@ def test_perf_writes_both_bench_files(monkeypatch, tmp_path):
     assert code == 0
     assert (tmp_path / "BENCH_sim.json").exists()
     assert (tmp_path / "BENCH_kernels.json").exists()
-    assert "suite sim" in text and "suite kernels" in text
+    assert (tmp_path / "BENCH_procs.json").exists()
+    assert "suite sim" in text and "suite kernels" in text and "suite procs" in text
+
+
+def test_perf_suite_procs_writes_only_its_file(monkeypatch, tmp_path):
+    _tiny_benches(monkeypatch)
+    code, text = run_cli("perf", "--suite", "procs", "--repeats", "1", "--out-dir", str(tmp_path))
+    assert code == 0
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["BENCH_procs.json"]
+    assert "tiny.procs@1" in text
 
 
 def test_perf_check_passes_against_own_output(monkeypatch, tmp_path):

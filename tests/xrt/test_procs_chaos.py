@@ -37,14 +37,20 @@ DEADLINE = 60.0
 #: land mid-run on these small problem sizes — kmeans/stream epochs take
 #: single-digit milliseconds, UTS a few tens — so each entry has been
 #: verified to actually produce a death (the conformance differ *fails* a
-#: run whose kill never landed, keeping this matrix honest).
+#: run whose kill never landed, keeping this matrix honest).  The stream
+#: entries run 16,384 points for 256 iterations: place 0 fires the kill from
+#: its own loop, which gets control only between steps of its own worker, so
+#: the killed place must still have many steps to run by then; with the
+#: default 4 iterations a strict run could finish the killed place's share
+#: first, and then no error is due.  UTS runs at depth 8: at depth 7 the
+#: 15 ms kill landed only in the last third of a recovered run.
 KILL_MATRIX = [
     ("kmeans", {}, "seed=1,kill=2@0.002"),
     ("kmeans", {}, "seed=2,kill=3@0.005"),
-    ("stream", {}, "seed=1,kill=2@0.002"),
-    ("stream", {}, "seed=3,kill=1@0.004"),
-    ("uts", {"depth": 7}, "seed=1,kill=2@0.01"),
-    ("uts", {"depth": 7}, "seed=4,kill=3@0.015"),
+    ("stream", {"n_per_place": 16384, "iterations": 256}, "seed=1,kill=2@0.002"),
+    ("stream", {"n_per_place": 16384, "iterations": 256}, "seed=3,kill=1@0.004"),
+    ("uts", {"depth": 8}, "seed=1,kill=2@0.01"),
+    ("uts", {"depth": 8}, "seed=4,kill=3@0.015"),
 ]
 
 

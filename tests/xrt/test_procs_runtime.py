@@ -8,6 +8,10 @@ that forked children cannot report.
 
 from __future__ import annotations
 
+import selectors
+import socket
+
+import numpy as np
 import pytest
 
 from repro.errors import (
@@ -19,7 +23,7 @@ from repro.errors import (
 )
 from repro.runtime.finish.pragmas import Pragma
 from repro.xrt.backend import WallClock, get_backend
-from repro.xrt.procs import run_procs_program
+from repro.xrt.procs import run_procs_program, wire
 from repro.xrt.procs.finishproc import HomeFinish, ProxyFinish, resolve_finish
 from repro.xrt.procs.loop import PlaceLoop
 from repro.xrt.procs.runtime import ProcsRuntime
@@ -111,6 +115,60 @@ def test_loop_blocked_registry():
     loop._note_unblocked("p1")
     loop._note_unblocked("never-blocked")  # discard, not remove
     assert not loop._blocked
+
+
+class _CountingSelector(selectors.DefaultSelector):
+    """The default selector, recording the mask of every ``modify`` call."""
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.modified = []
+
+    def modify(self, fileobj, events, data=None):
+        self.modified.append(events)
+        return super().modify(fileobj, events, data)
+
+
+def test_loop_arms_write_interest_only_while_a_tail_is_pending():
+    """``_poll`` makes no ``epoll_ctl`` while nothing is buffered, arms WRITE
+    once a partial write leaves a tail, and disarms once it has drained."""
+    read, read_write = selectors.EVENT_READ, selectors.EVENT_READ | selectors.EVENT_WRITE
+    loop = PlaceLoop()
+    loop._selector = selector = _CountingSelector()
+    a_sock, b_sock = socket.socketpair()
+    a_sock.setsockopt(socket.SOL_SOCKET, socket.SO_SNDBUF, 4096)
+    b_sock.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, 4096)
+    a, b = wire.Conn(a_sock, peer=1), wire.Conn(b_sock, peer=0)
+    got = []
+    loop.register_handler(wire.ITEM, lambda src, payload: got.append(payload))
+    loop.add_conn(a)
+    try:
+        # steady traffic both ways with nothing buffered: no modify at all
+        for i in range(5):
+            a.send_frame((wire.ITEM, 0, 1, ("box", i)))
+            b.send_frame((wire.ITEM, 1, 0, ("box", i)))
+            loop._poll(0.0)
+        assert got == [("box", i) for i in range(5)]
+        assert selector.modified == [] and a.events == read
+        # a frame larger than the socket buffers leaves a tail: arm WRITE once
+        a.send_frame((wire.ITEM, 0, 1, ("big", np.zeros(64 * 1024))))
+        assert a.wants_write
+        loop._poll(0.0)
+        loop._poll(0.0)  # peer not reading: the tail stays, the mask holds
+        assert selector.modified == [read_write] and a.events == read_write
+        received = []
+        while a.wants_write:
+            received.extend(b.pump_read())
+            loop._poll(0.0)
+        loop._poll(0.0)  # drained: disarm once, then hold
+        loop._poll(0.0)
+        assert selector.modified == [read_write, read] and a.events == read
+        while len(received) < 6:  # the five small frames, then the big one
+            received.extend(b.pump_read())
+        assert [f[3][0] for f in received] == ["box"] * 5 + ["big"]
+    finally:
+        loop.close()
+        b.close()
 
 
 # -- finish protocol state machines ------------------------------------------------

@@ -150,8 +150,9 @@ def test_all_message_kinds_round_trip_over_socketpair(seed):
         frames = _sample_frames(seed)
         for frame in frames:
             a.send_frame(frame)
-        assert a.wants_write
-        a.pump_write()
+        # an idle socket takes each frame in the call that sends it: nothing
+        # is buffered, and the peer reads every frame without a pump_write
+        assert not a.wants_write
         received = []
         while len(received) < len(frames):
             received.extend(b.pump_read())
@@ -218,6 +219,66 @@ def test_every_frame_is_sent_or_counted_dropped():
             offered += 1
         assert a.frames_sent + a.dropped == offered
         assert a.dropped == 3
+    finally:
+        a.close()
+
+
+def _small_buffers(a_sock, b_sock, nbytes: int = 4096) -> None:
+    a_sock.setsockopt(socket.SOL_SOCKET, socket.SO_SNDBUF, nbytes)
+    b_sock.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, nbytes)
+
+
+def test_partial_write_buffers_the_tail_and_later_frames_queue_behind_it():
+    """A frame the kernel only partly takes leaves its tail buffered; a frame
+    sent after it must queue behind that tail, never overtake it."""
+    a_sock, b_sock = socket.socketpair()
+    _small_buffers(a_sock, b_sock)
+    a, b = wire.Conn(a_sock, peer=1), wire.Conn(b_sock, peer=0)
+    big = ("item", 0, 1, ("big", np.arange(64 * 1024, dtype=np.float64)))
+    small = ("join", 0, 1, ((0, 0), "default"))
+    big_len, small_len = wire_nbytes(big), wire_nbytes(small)
+    try:
+        a.send_frame(big)  # the peer is not reading yet
+        tail = len(a._out)
+        assert a.wants_write and 0 < tail < big_len
+        # the peer drains part of the head, so the socket has room again;
+        # the next frame must still wait behind the buffered tail
+        received = b.pump_read()
+        assert received == [] and b.decoder.pending_bytes > 0
+        a.send_frame(small)
+        assert len(a._out) == tail + small_len  # queued, not written through
+        while a.wants_write or len(received) < 2:
+            received.extend(b.pump_read())
+            a.pump_write()
+        assert [f[:3] for f in received] == [big[:3], small[:3]]
+        np.testing.assert_array_equal(received[0][3][1], big[3][1])
+        assert received[1] == small
+        assert a.frames_sent == 2
+        assert a.bytes_sent == big_len + small_len
+        assert b.decoder.bytes_fed == big_len + small_len
+        assert b.decoder.pending_bytes == 0
+    finally:
+        a.close()
+        b.close()
+
+
+def test_send_after_peer_close_surfaces_as_eof_on_the_next_pump_write():
+    """Writing to a hung-up peer never raises from ``send_frame``: the frame
+    is buffered, ``pump_write`` meets the error and sets ``eof``, and every
+    later frame counts into ``dropped``."""
+    a_sock, b_sock = socket.socketpair()
+    a, b = wire.Conn(a_sock, peer=1), wire.Conn(b_sock, peer=0)
+    try:
+        b.close()
+        a.send_frame(("item", 0, 1, ("box", "unheard")))
+        assert not a.eof and a.wants_write
+        assert a.frames_sent == 1
+        a.pump_write()
+        assert a.eof and not a.wants_write
+        a.send_frame(("item", 0, 1, ("box", 1)))
+        a.send_frame(("join", 0, 1, ((0, 0), "default")))
+        assert a.dropped == 2
+        assert a.frames_sent == 1
     finally:
         a.close()
 
