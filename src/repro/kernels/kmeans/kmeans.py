@@ -23,28 +23,49 @@ from repro.sim.rng import RngStream
 #: flops per point-centroid pair in the classify step (sub, mul, add per dim)
 FLOPS_PER_PAIR_PER_DIM = 3
 
+#: most points classified per GEMM: a block's distances stay in cache, and
+#: at the simulated shape (256 x 12 x 64) each GEMM stays below OpenBLAS's
+#: threading threshold, so no second BLAS thread spins between calls
+CLASSIFY_BLOCK = 256
+
 
 def generate_points(seed: int, place: int, n: int, dim: int) -> np.ndarray:
     """The point block owned by ``place`` (deterministic in (seed, place))."""
+    # random() draws the bits of uniform(0.0, 1.0) (0 + 1 * u) in one pass
     rng = RngStream(seed, f"kmeans/points/{place}")
-    return rng.uniform(0.0, 1.0, size=(n, dim))
+    return rng.random((n, dim))
 
 
 def initial_centroids(seed: int, k: int, dim: int) -> np.ndarray:
     """Arbitrary initial centroids, identical at every place."""
     rng = RngStream(seed, "kmeans/centroids")
-    return rng.uniform(0.0, 1.0, size=(k, dim))
+    return rng.random((k, dim))
 
 
 def nearest_centroid(points: np.ndarray, centroids: np.ndarray) -> np.ndarray:
     """Label each point with the first index minimising ``||c||^2 - 2 x.c``."""
     # ||x - c||^2 = ||x||^2 - 2 x.c + ||c||^2; the x^2 term is constant per point.
-    # One n x k buffer, updated in place: scaling by -2 is exact and
-    # (-2 x.c) + ||c||^2 rounds exactly like ||c||^2 - 2 x.c.
-    dist = points @ centroids.T
-    dist *= -2.0
-    dist += np.einsum("kd,kd->k", centroids, centroids)
-    return dist.argmin(axis=1)
+    # Per block of points: one GEMM against (-2 c)^T, laid out like
+    # ``points @ centroids.T`` so BLAS sums each dot product in the same
+    # order, then one contiguous add of a pre-tiled ||c||^2 block.  Scaling
+    # by -2 is exact and the add rounds once, so every distance has the bits
+    # of ||c||^2 - 2 x.c computed over the whole array.  Blocks are sized
+    # evenly: a 1-row tail would go to GEMV, which sums in another order.
+    n = points.shape[0]
+    blocks = max(1, -(-n // CLASSIFY_BLOCK))
+    rows = max(1, -(-n // blocks))
+    w = np.multiply(centroids, -2.0).T
+    c_sq = np.empty((rows, centroids.shape[0]))
+    c_sq[:] = np.einsum("kd,kd->k", centroids, centroids)
+    dist = np.empty_like(c_sq)
+    labels = np.empty(n, dtype=np.intp)
+    for b in range(blocks):
+        s, e = b * n // blocks, (b + 1) * n // blocks
+        block = dist[: e - s]
+        np.matmul(points[s:e], w, out=block)
+        np.add(block, c_sq[: e - s], out=block)
+        block.argmin(axis=1, out=labels[s:e])
+    return labels
 
 
 def assign_and_accumulate(points: np.ndarray, centroids: np.ndarray):

@@ -87,25 +87,19 @@ def uts_loop(ctx, p: dict, ctl_box: str = "uts:ctl", abort_on_death: bool = Fals
                     detail="peer died mid-attempt",
                 )
         # 1. drain control messages
+        thieves = []
+        fresh_loot = False
         while True:
             ok, msg = ctx.try_recv(ctl_box)
             if not ok:
                 break
             kind = msg[0]
             if kind == "steal":
-                thief = msg[1]
-                loot = None if bag.is_empty() else bag.split()
-                if loot is None:
-                    ctx.send(thief, ctl_box, ("empty",))
-                else:
-                    loot_sent += 1
-                    ctx.send(
-                        thief, ctl_box,
-                        ("loot", loot.intervals, loot._bootstrap),
-                    )
+                thieves.append(msg[1])
             elif kind == "loot":
                 loot_recv += 1
                 awaiting_reply = False
+                fresh_loot = True
                 stolen = UtsBag(params, intervals=msg[1], bootstrap_nodes=msg[2])
                 bag.merge(stolen)
             elif kind == "empty":
@@ -116,9 +110,17 @@ def uts_loop(ctx, p: dict, ctl_box: str = "uts:ctl", abort_on_death: bool = Fals
                 stop = True
         if stop:
             break
-        # 2. work if there is any
+        # 2. answer steals, then work if there is any.  In a drain that
+        # merged loot (never empty) the steals wait for one chunk instead:
+        # re-splitting loot in the drain that brought it can bounce a
+        # one-node interval between two places forever, and the termination
+        # waves then never repeat.
+        if not fresh_loot:
+            loot_sent += _answer_steals(ctx, ctl_box, bag, thieves)
+            thieves = ()
         if not bag.is_empty():
             processed += bag.process(CHUNK)
+            loot_sent += _answer_steals(ctx, ctl_box, bag, thieves)
             yield ctx.compute(seconds=_IDLE_BACKOFF)
             continue
         # 3. idle: advance the termination wave if we hold the token
@@ -148,6 +150,19 @@ def uts_loop(ctx, p: dict, ctl_box: str = "uts:ctl", abort_on_death: bool = Fals
         yield ctx.sleep(_IDLE_BACKOFF)
 
     return processed
+
+
+def _answer_steals(ctx, ctl_box: str, bag: UtsBag, thieves) -> int:
+    """Answer each thief with half of ``bag`` or ``empty``; returns loot sent."""
+    sent = 0
+    for thief in thieves:
+        loot = None if bag.is_empty() else bag.split()
+        if loot is None:
+            ctx.send(thief, ctl_box, ("empty",))
+        else:
+            sent += 1
+            ctx.send(thief, ctl_box, ("loot", loot.intervals, loot._bootstrap))
+    return sent
 
 
 def uts_worker(ctx, p: dict):

@@ -38,6 +38,9 @@ class RngStream:
 
     # Thin pass-throughs for the draws the simulator uses most.
 
+    def random(self, size=None):
+        return self.generator.random(size)
+
     def uniform(self, low: float = 0.0, high: float = 1.0, size=None):
         return self.generator.uniform(low, high, size=size)
 

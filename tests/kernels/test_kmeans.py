@@ -60,6 +60,16 @@ _EXACT_SHAPES = [
     (50, 1, 3),  # a single centroid
     (40, 6, 1),  # one dimension
     (3, 10, 2),  # fewer points than centroids: empty clusters
+    # straddling the classify block (CLASSIFY_BLOCK = 256 points)
+    (255, 64, 12),
+    (256, 64, 12),
+    (257, 64, 12),
+    (4097, 64, 12),
+    # K = 13 and 16 dot products, with centroid counts that are not a
+    # multiple of the BLAS kernel's unroll
+    (600, 33, 13),
+    (600, 33, 16),
+    (300, 64, 16),
 ]
 
 
@@ -85,6 +95,25 @@ def test_assign_and_accumulate_breaks_ties_on_first_index():
     centroids = np.array([[2.0, 0.0], [0.0, 0.0], [2.0, 0.0]])
     labels = _assert_matches_oracle(points, centroids)
     np.testing.assert_array_equal(labels, [1, 0, 0, 0])  # (1,0) ties c0 and c1
+
+
+@pytest.mark.parametrize("n", [255, 256, 257, 513, 4097])
+@pytest.mark.parametrize("dim", [3, 12, 13, 16])
+def test_ties_across_block_boundaries_go_to_the_first_index(n, dim):
+    """Every centroid thrice, so every point ties exactly in every block:
+    the earliest duplicate must win wherever the point falls."""
+    rng = np.random.default_rng(n * 100 + dim)
+    points = rng.uniform(0.0, 1.0, size=(n, dim))
+    base = rng.uniform(0.0, 1.0, size=(11, dim))
+    centroids = np.vstack([base, base[::-1], base])  # k = 33
+    labels = _assert_matches_oracle(points, centroids)
+    assert labels.max() < 11  # later duplicates never win
+    # the same centroids as the first and last of a 64-wide row
+    centroids = rng.uniform(0.0, 1.0, size=(64, dim))
+    centroids[63] = centroids[0]
+    centroids[32] = centroids[1]
+    labels = _assert_matches_oracle(points, centroids)
+    assert not np.isin(labels, [32, 63]).any()
 
 
 def test_empty_cluster_keeps_centroid():

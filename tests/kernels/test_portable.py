@@ -66,6 +66,47 @@ def test_uts_count_invariant_across_place_counts():
     assert len(set(totals.values())) == 1
 
 
+class _StubCtx:
+    """Just enough of a place context to step ``uts_loop`` by hand."""
+
+    def __init__(self, here, n_places, inbox):
+        self.here, self.n_places = here, n_places
+        self.inbox, self.sent = list(inbox), []
+
+    def try_recv(self, box):
+        return (True, self.inbox.pop(0)) if self.inbox else (False, None)
+
+    def send(self, dst, box, msg):
+        self.sent.append((dst, msg))
+
+    def compute(self, seconds):
+        return None
+
+    def sleep(self, seconds):
+        return None
+
+
+def test_uts_loot_is_not_resplit_in_the_drain_that_brought_it():
+    """A loot and a steal in one drain: the place must work a chunk before it
+    answers, so the one-node interval it just received does not go straight
+    back (at two places that bounce never ended)."""
+    from repro.kernels.portable.uts_program import uts_loop
+    from repro.kernels.uts.tree import UtsBag, UtsParams
+
+    p = {"depth": 9, "b0": 4.0, "seed": 19, "rng_mode": "splitmix"}
+    root = UtsBag.root(UtsParams(depth=9, b0=4.0, seed=19, rng_mode="splitmix"))
+    root.process(1)
+    state, depth, lo, _hi = root.intervals[-1]
+    one_node = (state, depth, lo, lo + 1)
+    ctx = _StubCtx(1, 2, [("loot", [one_node], 0), ("steal", 0)])
+    worker = uts_loop(ctx, p)
+    next(worker)  # one drain, then the first chunk
+    replies = [msg for dst, msg in ctx.sent if dst == 0 and msg[0] in ("loot", "empty")]
+    assert len(replies) == 1  # the steal is still answered in this round
+    if replies[0][0] == "loot":
+        assert one_node not in replies[0][1]
+
+
 def test_kmeans_matches_sequential_reference():
     from repro.kernels.kmeans.kmeans import (
         generate_points,

@@ -57,3 +57,20 @@ def test_uniform_bounds_and_exponential_positive():
     assert (u >= 2.0).all() and (u < 3.0).all()
     e = s.exponential(0.5, size=1000)
     assert (e >= 0).all()
+
+
+def test_random_is_byte_equal_to_unit_uniform():
+    """``random`` is ``uniform(0.0, 1.0)`` without the ``0 + 1 * u`` pass:
+    K-Means draws its points with it and relies on the same bits."""
+    for seed in range(5):
+        for place in range(20):
+            name = f"kmeans/points/{place}"
+            want = RngStream(seed, name).uniform(0.0, 1.0, size=(37, 12))
+            got = RngStream(seed, name).random((37, 12))
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
+    # the stream position advances identically, so later draws agree too
+    a, b = RngStream(9, "s"), RngStream(9, "s")
+    a.uniform(0.0, 1.0, size=5)
+    b.random(5)
+    assert a.integers(0, 1 << 30, size=10).tobytes() == b.integers(0, 1 << 30, size=10).tobytes()

@@ -76,3 +76,15 @@ def test_uts_totals_invariant_under_real_stealing():
     expected = sequential_count(UtsParams(depth=6, b0=4.0, seed=19))
     for run in report.runs:
         assert run.result["nodes"] == expected
+
+
+def test_uts_terminates_at_two_places():
+    """Two places used to bounce a one-node loot interval between them when
+    a loot and a steal arrived in the same mailbox drain, and the run then
+    sat until its deadline.  Every run must now finish with the sim total."""
+    from repro.harness.runner import run_portable
+
+    want = run_portable("uts", 2, backend="sim").result["nodes"]
+    for _ in range(20):
+        run = run_portable("uts", 2, backend="procs")
+        assert run.result["nodes"] == want
